@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{EngineResult, Harmony, HarmonyConfig, HarmonySystem, Mode}
+import repro.core.{Harmony, HarmonyConfig, HarmonySystem, Mode}
 import repro.ivf.IVFIndex
 import repro.sim.CostParams
 
@@ -23,7 +23,4 @@ object Auncel {
       pruning = false, pipeline = true, balancedLoad = false, costParams = params)
     Harmony.deploy(spark, index, cfg, workloadSample = Array.empty)
   }
-
-  def search(sys: HarmonySystem, queries: Array[Array[Float]]): EngineResult =
-    sys.search(queries)
 }

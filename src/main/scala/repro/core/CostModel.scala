@@ -5,8 +5,9 @@ import repro.vectors.Workloads
 
 /** The fine-grained query planner's cost model (§4.2).
   *
-  * For each candidate grid π = (bVec, bDim) it estimates, from lightweight
-  * workload statistics (per-cluster probe popularity, list sizes, the
+  * For each candidate grid π = (bVec, bDim) it builds the partition plan
+  * that would be deployed and estimates, from lightweight workload
+  * statistics (per-cluster probe popularity, list sizes, the
   * dimension-variance profile, and a sampled distance distribution):
   *
   *  - per-node computational load `Load(n, π)` in dim-ops. Loads are
@@ -20,21 +21,27 @@ import repro.vectors.Workloads
   *    the split, §4.2.2) plus per-message framing;
   *  - overall cost `C(π, Q) = makespan(comp) + comm + stages + α · I(π)`.
   *
-  * The chooser returns the argmin plan. `α` expresses the user's
-  * skew-aversion, as in the paper.
+  * The chooser returns the argmin plan, which `Harmony.deploy` deploys as
+  * is. `α` expresses the user's skew-aversion, as in the paper.
   */
 object CostModel {
 
-  /** Estimated cost decomposition of one candidate plan. */
+  /** Estimated cost decomposition of one candidate plan, with the exact
+    * plan it scored. */
   final case class PlanCost(
-      bVec: Int,
-      bDim: Int,
+      plan: PartitionPlan,
       compMakespanSec: Double,
       commSec: Double,
       imbalanceSec: Double,
       totalSec: Double,
       perNodeLoadOps: Array[Double],
-  )
+  ) {
+    def bVec: Int = plan.bVec
+    def bDim: Int = plan.bDim
+  }
+
+  /** The engine settings the planner prices by default. */
+  private val Defaults = HarmonyConfig()
 
   /** Per-candidate-state bytes moved between stages (row index + partial). */
   val StateBytesPerRow: Int = 12
@@ -175,7 +182,10 @@ object CostModel {
     }
   }
 
-  /** Estimate the cost of grid (bVec, bDim).
+  /** Estimate the cost of grid (bVec, bDim) on the plan `Harmony.deploy`
+    * would build for it ([[PartitionPlan.placementWeights]], `balanced`),
+    * run by an engine returning top-`k` hits over `Engine.waveCount(maxWaves,
+    * pipeline)` vector-level waves.
     *
     * @param popularity fraction of query probes landing on each cluster
     *                   (sums to 1 over clusters)
@@ -189,46 +199,36 @@ object CostModel {
       nQ: Int, nprobe: Int,
       params: CostParams, alpha: Double,
       pruning: Boolean, survival: SurvivalStats,
-      balanced: Boolean = true,
+      balanced: Boolean = Defaults.balancedLoad,
+      k: Int = Defaults.k,
+      maxWaves: Int = Defaults.maxWaves,
+      pipeline: Boolean = Defaults.pipeline,
   ): PlanCost = {
     val surv = if (pruning) survival else SurvivalStats.none(dim)
-    val nNodes = bVec * bDim
+    val simParams = Engine.simParams(params, pipeline)
+    val plan = PartitionPlan.build(bVec, bDim, dim,
+      PartitionPlan.placementWeights(listSizes, popularity), balanced)
     val nlist = listSizes.length
     // expected probes of cluster c over the batch
     val probes = popularity.map(_ * nQ * nprobe)
-    // expected candidate rows contributed by cluster c over the batch
-    val rowsByCluster = Array.tabulate(nlist)(c => probes(c) * listSizes(c))
-
-    val weights = Array.tabulate(nlist)(c =>
-      if (balanced) rowsByCluster(c) + 1e-9 * listSizes(c) else listSizes(c).toDouble)
-    val shardOf =
-      if (balanced) PartitionPlan.assignShardsWeighted(weights, bVec)
-      else PartitionPlan.assignShardsNaive(nlist, bVec)
-
     val shardRows = new Array[Double](bVec)
-    for (c <- 0 until nlist) shardRows(shardOf(c)) += rowsByCluster(c)
+    for (c <- 0 until nlist) shardRows(plan.shardOfCluster(c)) += probes(c) * listSizes(c)
 
     // per-node compute: the node hosting (shard s, slice j) scans the
     // candidates that survive to slice j under rotated visit orders
-    val loads = new Array[Double](nNodes)
-    val bounds = PartitionPlan.dimSlices(dim, bDim)
+    val loads = new Array[Double](plan.nNodes)
     for (s <- 0 until bVec; j <- 0 until bDim) {
-      val node = (s * bDim + j) % nNodes
-      val sliceLen = (bounds(j + 1) - bounds(j)).toDouble
-      loads(node) += shardRows(s) * sliceLen * surv.arrivalSurv(bDim, j)
+      loads(plan.nodeOf(s, j)) += shardRows(s) * plan.sliceLen(j) * surv.arrivalSurv(bDim, j)
     }
-    val compMakespan = loads.max * params.dimOpSeconds
+    val compMakespan = loads.max * simParams.dimOpSeconds
 
     // communication: per (query, shard) batch — one query-chunk
     // distribution (total bytes independent of bDim, §4.2.2), bDim−1
-    // partial-state hops carrying survivors, one result return.
-    val pairsByShard = Array.tabulate(bVec) { s =>
-      math.min(nQ.toDouble, (0 until nlist).filter(shardOf(_) == s).map(probes).sum)
-    }
+    // partial-state hops carrying survivors, one top-k result return.
     var bytes = 0.0
     var msgs = 0.0
     for (s <- 0 until bVec) {
-      val pairs = pairsByShard(s)
+      val pairs = math.min(nQ.toDouble, plan.clustersOfShard(s).map(probes(_)).sum)
       val rowsPerPair = if (pairs > 0) shardRows(s) / pairs else 0.0
       bytes += pairs * dim * 4.0
       msgs += pairs * bDim
@@ -236,20 +236,21 @@ object CostModel {
         val stateRows = (1 until bDim).map(p => rowsPerPair * surv.positionSurv(bDim, p)).sum
         bytes += pairs * stateRows * StateBytesPerRow
       }
-      bytes += pairs * 12.0 * 10 // top-k result return (k≈10)
+      bytes += pairs * 12.0 * k // 12-byte hits, as the engine counts them
     }
-    val commSec = (bytes / nNodes) * params.byteSeconds + (msgs / nNodes) * params.msgLatencySeconds
+    val commSec = (bytes / plan.nNodes) * simParams.byteSeconds +
+      (msgs / plan.nNodes) * simParams.msgLatencySeconds
     // non-blocking transfers overlap with compute (§5): only the excess
     // over the compute critical path surfaces as latency
     val commEffective =
-      if (params.overlapComm) math.max(0.0, commSec - compMakespan) else commSec
+      if (simParams.overlapComm) math.max(0.0, commSec - compMakespan) else commSec
 
     val imbalanceOpsStd = Workloads.stddev(loads.toSeq)
-    val imbalanceSec = imbalanceOpsStd * params.dimOpSeconds
+    val imbalanceSec = imbalanceOpsStd * simParams.dimOpSeconds
     // each dimension split adds one pipeline stage per vector-level wave
-    val stageSec = params.stageOverheadSeconds * bDim * 4
+    val stageSec = simParams.stageOverheadSeconds * bDim * Engine.waveCount(maxWaves, pipeline)
     val total = compMakespan + commEffective + stageSec + alpha * imbalanceSec
-    PlanCost(bVec, bDim, compMakespan, commSec, imbalanceSec, total, loads)
+    PlanCost(plan, compMakespan, commSec, imbalanceSec, total, loads)
   }
 
   /** Choose the best grid for the workload (the paper's planner). */
@@ -259,12 +260,17 @@ object CostModel {
       nQ: Int, nprobe: Int,
       params: CostParams, alpha: Double,
       pruning: Boolean, survival: SurvivalStats,
+      balanced: Boolean = Defaults.balancedLoad,
+      k: Int = Defaults.k,
+      maxWaves: Int = Defaults.maxWaves,
+      pipeline: Boolean = Defaults.pipeline,
   ): PlanCost = {
     val cands = PartitionPlan.candidateGrids(nNodes, dim)
     require(cands.nonEmpty, s"no candidate grids for nNodes=$nNodes dim=$dim")
     cands
       .map { case (bv, bd) =>
-        estimate(bv, bd, dim, listSizes, popularity, nQ, nprobe, params, alpha, pruning, survival)
+        estimate(bv, bd, dim, listSizes, popularity, nQ, nprobe, params, alpha, pruning,
+          survival, balanced, k, maxWaves, pipeline)
       }
       .minBy(c => (c.totalSec, c.bDim)) // prefer fewer dim splits on ties
   }

@@ -11,31 +11,6 @@ import repro.ivf.IVFIndex
 import repro.linalg.{BoundedMaxHeap, Hit, VecOps}
 import repro.sim.{CostParams, NodeLedger, Sim, SimReport, StageRecord}
 
-/** Slice execution-order policy for the dimension pipeline (§4.3, "Load
-  * Balancing Strategies"). `InOrder` processes slices in dimension order
-  * (used by the Table 3 pruning measurement); `RoundRobin` staggers batch
-  * start offsets; `LoadAware` greedily picks each batch's start offset to
-  * even out first-stage node load (the paper's deferred-dimension scheme).
-  */
-sealed trait Rotation extends Serializable
-object Rotation {
-  case object InOrder extends Rotation
-  case object RoundRobin extends Rotation
-  case object LoadAware extends Rotation
-}
-
-/** Engine knobs; the Fig 9 ablation flips `pruning` and `pipeline`. */
-final case class EngineConfig(
-    k: Int = 10,
-    nprobe: Int = 16,
-    pruning: Boolean = true,
-    /** wave pipelining (vector-level threshold tightening) + overlapped comm */
-    pipeline: Boolean = true,
-    rotation: Rotation = Rotation.LoadAware,
-    maxWaves: Int = 4,
-    prewarmPerCluster: Int = 4,
-)
-
 /** In-flight state of one (query, vector-shard) pair: which clusters to
   * scan, the slice visit order, the current pipeline position, and the
   * per-row partial-distance accumulators. Travels node-to-node between
@@ -94,13 +69,26 @@ final case class EngineResult(
   */
 object Engine {
 
+  /** Vector-level waves per batch: pipelining splits each query's probed
+    * clusters into `maxWaves` waves (Fig 5a); without it there is one. */
+  def waveCount(maxWaves: Int, pipeline: Boolean): Int =
+    if (pipeline) math.max(1, maxWaves) else 1
+
+  /** The simulator's parameters: communication overlaps computation only
+    * while waves are pipelined. */
+  def simParams(params: CostParams, pipeline: Boolean): CostParams =
+    if (pipeline) params else params.copy(overlapComm = false)
+
+  /** Run one query batch. The Fig 9 ablation flips `cfg.pruning` and
+    * `cfg.pipeline`; `cfg.balancedLoad` picks load-aware slice rotation (each
+    * batch starts at the slice whose node is least loaded so far, the
+    * paper's deferred-dimension scheme, §4.3) over dimension order. */
   def search(
       spark: SparkSession,
       store: BlockStore,
       index: IVFIndex,
       queries: Array[Array[Float]],
-      cfg: EngineConfig,
-      params: CostParams,
+      cfg: HarmonyConfig,
   ): EngineResult = {
     val plan = store.plan
     val nNodes = plan.nNodes
@@ -141,7 +129,7 @@ object Engine {
     // `effWaves` chunks; completed distances of earlier waves tighten τ for
     // later ones. Within a wave, clusters group into per-shard batches.
     final case class Pair(qIdx: Int, shard: Int, clusters: Array[Int], nRows: Int)
-    val effWaves = if (cfg.pipeline) math.max(1, cfg.maxWaves) else 1
+    val effWaves = waveCount(cfg.maxWaves, cfg.pipeline)
     val waves: IndexedSeq[Seq[Pair]] = {
       val buckets = IndexedSeq.fill(effWaves)(ArrayBuffer.empty[Pair])
       (0 until nQ).foreach { qi =>
@@ -168,15 +156,14 @@ object Engine {
       // slice start offsets (rotation)
       val nodeLoad = new Array[Long](nNodes)
       val ordered = wave.sortBy(p => (-p.nRows, p.qIdx, p.shard))
-      val offsets: Map[(Int, Int), Int] = ordered.zipWithIndex.map { case (p, i) =>
-        val off = (cfg.rotation, bDim) match {
-          case (_, 1) | (Rotation.InOrder, _) => 0
-          case (Rotation.RoundRobin, _) => i % bDim
-          case (Rotation.LoadAware, _) =>
+      val offsets: Map[(Int, Int), Int] = ordered.map { p =>
+        val off =
+          if (bDim == 1 || !cfg.balancedLoad) 0
+          else {
             val best = (0 until bDim).minBy(o => nodeLoad(plan.nodeOf(p.shard, o)))
             nodeLoad(plan.nodeOf(p.shard, best)) += p.nRows
             best
-        }
+          }
         ((p.qIdx, p.shard), off)
       }.toMap
 
@@ -241,8 +228,8 @@ object Engine {
     taus.foreach(_.destroy())
     bcQueries.destroy()
 
-    val effParams = if (cfg.pipeline) params else params.copy(overlapComm = false)
-    val report = Sim.evaluate(stages.toSeq, effParams, nNodes, nQ, clientOps, clientBytes)
+    val report = Sim.evaluate(stages.toSeq, simParams(cfg.costParams, cfg.pipeline), nNodes, nQ,
+      clientOps, clientBytes)
 
     val peaks = new Array[Long](nNodes)
     stages.foreach(st => (0 until nNodes).foreach { n =>

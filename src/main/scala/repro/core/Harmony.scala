@@ -28,7 +28,8 @@ final case class HarmonyConfig(
     nprobe: Int = 16,
     pruning: Boolean = true,
     pipeline: Boolean = true,
-    /** load-aware placement + rotation; off → naive cluster placement */
+    /** load-aware placement + slice rotation; off → naive cluster
+      * placement, slices visited in dimension order */
     balancedLoad: Boolean = true,
     /** weight of the imbalance term; per-node makespan already prices the
       * bulk of skew, so the default expresses a mild extra skew-aversion */
@@ -50,22 +51,9 @@ final class HarmonySystem(
     val planCost: Option[CostModel.PlanCost],
     val buildTimes: BuildTimes,
 ) {
-  def engineConfig: EngineConfig = EngineConfig(
-    k = cfg.k,
-    nprobe = cfg.nprobe,
-    pruning = cfg.pruning,
-    pipeline = cfg.pipeline,
-    rotation = if (cfg.balancedLoad) Rotation.LoadAware else Rotation.InOrder,
-    maxWaves = cfg.maxWaves,
-    prewarmPerCluster = cfg.prewarmPerCluster,
-  )
-
   /** Execute one query batch through the pipelined engine. */
-  def search(queries: Array[Array[Float]],
-             rotationOverride: Option[Rotation] = None): EngineResult = {
-    val ec = rotationOverride.fold(engineConfig)(r => engineConfig.copy(rotation = r))
-    Engine.search(spark, store, index, queries, ec, cfg.costParams)
-  }
+  def search(queries: Array[Array[Float]]): EngineResult =
+    Engine.search(spark, store, index, queries, cfg)
 
   def shutdown(): Unit = store.unpersist()
 }
@@ -91,26 +79,20 @@ object Harmony {
     val probes = workloadSample.map(q => VecOps.nearestN(q, index.centroids, cfg.nprobe))
     val popularity = CostModel.popularityOf(probes.toSeq, index.nlist)
 
-    val (grid, planCost) = cfg.mode match {
-      case Mode.HarmonyVector => ((cfg.nNodes, 1), None)
-      case Mode.HarmonyDimension => ((1, cfg.nNodes), None)
+    def fixed(bVec: Int, bDim: Int): PartitionPlan = PartitionPlan.build(bVec, bDim, dim,
+      PartitionPlan.placementWeights(listSizes, popularity), balanced = cfg.balancedLoad)
+    val (plan, planCost) = cfg.mode match {
+      case Mode.HarmonyVector => (fixed(cfg.nNodes, 1), None)
+      case Mode.HarmonyDimension => (fixed(1, cfg.nNodes), None)
       case Mode.Harmony =>
         val survival = CostModel.SurvivalStats.fromData(index, workloadSample, k = cfg.k)
         val c = CostModel.choose(cfg.nNodes, dim, listSizes, popularity,
           nQ = math.max(1, workloadSample.length), nprobe = cfg.nprobe,
           params = cfg.costParams, alpha = cfg.alpha, pruning = cfg.pruning,
-          survival = survival)
-        ((c.bVec, c.bDim), Some(c))
+          survival = survival, balanced = cfg.balancedLoad, k = cfg.k,
+          maxWaves = cfg.maxWaves, pipeline = cfg.pipeline)
+        (c.plan, Some(c))
     }
-
-    val weights = Array.tabulate(index.nlist) { c =>
-      // expected candidate rows (popularity-weighted) blended with a
-      // uniform-popularity prior: a skewed workload still dominates the
-      // placement, but a uniform one degrades to storage balancing instead
-      // of amplifying sampling noise into storage imbalance
-      (popularity(c) + 1.0 / index.nlist) * listSizes(c)
-    }
-    val plan = PartitionPlan.build(grid._1, grid._2, dim, weights, balanced = cfg.balancedLoad)
     val store = BlockStore.build(spark, index, plan, samplePerCluster = cfg.prewarmPerCluster)
     val times = indexTimes.copy(preAssignMs = store.preAssignMs)
     new HarmonySystem(spark, index, cfg, plan, store, planCost, times)

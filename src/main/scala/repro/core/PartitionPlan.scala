@@ -70,6 +70,15 @@ object PartitionPlan {
     Array.tabulate(bDim + 1)(s => (s.toLong * dim / bDim).toInt)
   }
 
+  /** Cluster weights for load-aware placement: expected candidate rows
+    * (popularity-weighted list sizes) blended with a uniform-popularity
+    * prior, so a skewed workload still dominates the placement but a uniform
+    * one degrades to storage balancing instead of amplifying sampling noise
+    * into storage imbalance. The planner scores and `Harmony.deploy`
+    * deploys plans built from these weights. */
+  def placementWeights(listSizes: Array[Int], popularity: Array[Double]): Array[Double] =
+    Array.tabulate(listSizes.length)(c => (popularity(c) + 1.0 / listSizes.length) * listSizes(c))
+
   /** Greedy weighted bin packing: clusters in descending weight order onto
     * the currently lightest shard. With `weight = popularity × size` this is
     * the paper's load-aware placement; with `weight = size` it balances

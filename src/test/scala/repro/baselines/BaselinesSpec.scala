@@ -44,7 +44,7 @@ class BaselinesSpec extends SparkSpec {
   test("Auncel results match Faiss (same clustering, no pruning)") {
     val sys = Auncel.deploy(spark, idx, nNodes = 4, k = 10, nprobe = 8)
     try {
-      val a = Auncel.search(sys, F.small.queries.take(8))
+      val a = sys.search(F.small.queries.take(8))
       val f = Faiss.run(idx, F.small.queries.take(8), 10, 8, CostParams())
       a.hits.zip(f.hits).foreach { case (x, y) =>
         x.zip(y).foreach { case (hx, hy) => assert(math.abs(hx.dist - hy.dist) < 1e-6) }
@@ -55,7 +55,7 @@ class BaselinesSpec extends SparkSpec {
   test("Auncel performs no pruning (all candidates computed)") {
     val sys = Auncel.deploy(spark, idx, nNodes = 4, k = 10, nprobe = 8)
     try {
-      val r = Auncel.search(sys, F.small.queries)
+      val r = sys.search(F.small.queries)
       assert(r.prunePruned.forall(_ == 0L))
     } finally sys.shutdown()
   }
@@ -68,7 +68,7 @@ class BaselinesSpec extends SparkSpec {
       HarmonyConfig(nNodes = 4, mode = Mode.Harmony, k = 10, nprobe = 8, alpha = 3.0),
       workloadSample = skewed)
     try {
-      val aq = Auncel.search(auncel, skewed).report
+      val aq = auncel.search(skewed).report
       val hq = harmony.search(skewed).report
       assert(hq.qps > aq.qps, s"harmony ${hq.qps} !> auncel ${aq.qps}")
     } finally { auncel.shutdown(); harmony.shutdown() }

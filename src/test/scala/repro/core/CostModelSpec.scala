@@ -108,6 +108,51 @@ class CostModelSpec extends AnyFunSuite {
     assert(hi.totalSec > lo.totalSec)
   }
 
+  test("estimate scores the plan deploy builds, naive placement when unbalanced") {
+    val pop = skewedPop(hot = 3)
+    val on = CostModel.estimate(4, 1, dim, listSizes, pop, 100, 4, params,
+      alpha = 1.0, pruning = false, survival = noPrune)
+    val deployed = PartitionPlan.build(4, 1, dim,
+      PartitionPlan.placementWeights(listSizes, pop), balanced = true)
+    assert(on.plan.shardOfCluster.toSeq == deployed.shardOfCluster.toSeq)
+    val naive = PartitionPlan.assignShardsNaive(nlist, 4).toSeq
+    val off = CostModel.estimate(4, 1, dim, listSizes, pop, 100, 4, params,
+      alpha = 1.0, pruning = false, survival = noPrune, balanced = false)
+    assert(off.plan.shardOfCluster.toSeq == naive)
+    val chosen = CostModel.choose(4, dim, listSizes, pop, 100, 4, params,
+      alpha = 1.0, pruning = false, survival = noPrune, balanced = false)
+    assert(chosen.bVec == 1 || chosen.plan.shardOfCluster.toSeq ==
+      PartitionPlan.assignShardsNaive(nlist, chosen.bVec).toSeq)
+  }
+
+  test("estimate prices bDim stages per wave: maxWaves waves pipelined, one without") {
+    // free communication and no imbalance term: total = compute + stages
+    val noComm = CostParams(byteSeconds = 0.0, msgLatencySeconds = 0.0)
+    def stages(pipeline: Boolean): Double = {
+      val c = CostModel.estimate(1, 4, dim, listSizes, uniformPop, 100, 4, noComm,
+        alpha = 0.0, pruning = false, survival = noPrune, maxWaves = 3, pipeline = pipeline)
+      (c.totalSec - c.compMakespanSec) / noComm.stageOverheadSeconds
+    }
+    assert(math.abs(stages(pipeline = false) - 4) < 1e-6)
+    assert(math.abs(stages(pipeline = true) - 12) < 1e-6)
+  }
+
+  test("without pipelining communication no longer overlaps compute") {
+    def c(pipeline: Boolean) = CostModel.estimate(4, 1, dim, listSizes, uniformPop, 100, 4,
+      params, alpha = 0.0, pruning = false, survival = noPrune, maxWaves = 1, pipeline = pipeline)
+    val (on, off) = (c(pipeline = true), c(pipeline = false))
+    assert(on.commSec == off.commSec && on.commSec > 0)
+    val serial = off.compMakespanSec + off.commSec + params.stageOverheadSeconds
+    assert(math.abs(off.totalSec - serial) < 1e-15)
+    assert(on.totalSec < off.totalSec)
+  }
+
+  test("result bytes grow with k") {
+    def comm(k: Int): Double = CostModel.estimate(4, 1, dim, listSizes, uniformPop, 100, 4,
+      params, alpha = 1.0, pruning = false, survival = noPrune, k = k).commSec
+    assert(comm(100) > comm(10) && comm(10) > comm(1))
+  }
+
   // ---- SurvivalStats -------------------------------------------------
 
   test("none survives everything") {

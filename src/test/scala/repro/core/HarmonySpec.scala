@@ -69,16 +69,34 @@ class HarmonySpec extends SparkSpec {
     finally sys.shutdown()
   }
 
-  test("engineConfig mirrors system toggles") {
-    val c = HarmonyConfig(nNodes = 4, mode = Mode.Harmony, k = 7, nprobe = 3,
-      pruning = false, pipeline = false, balancedLoad = false)
-    val sys = Harmony.deploy(spark, idx, c, F.small.queries)
-    try {
-      val ec = sys.engineConfig
-      assert(ec.k == 7 && ec.nprobe == 3)
-      assert(!ec.pruning && !ec.pipeline)
-      assert(ec.rotation == Rotation.InOrder)
-    } finally sys.shutdown()
+  test("balancedLoad off visits slices in dimension order and loads node 0 most") {
+    def report(balanced: Boolean) = {
+      val sys = Harmony.deploy(spark, idx,
+        cfg(Mode.HarmonyDimension).copy(balancedLoad = balanced), F.small.queries)
+      try {
+        assert(sys.plan.bVec == 1 && sys.plan.bDim == 4)
+        sys.search(F.small.queries).report
+      } finally sys.shutdown()
+    }
+    val inOrder = report(balanced = false)
+    val loadAware = report(balanced = true)
+    assert(inOrder.perNodeDimOps(0) == inOrder.perNodeDimOps.max,
+      inOrder.perNodeDimOps.mkString(","))
+    assert(inOrder.loadCV > loadAware.loadCV, s"${inOrder.loadCV} !> ${loadAware.loadCV}")
+  }
+
+  test("harmony mode deploys exactly the plan the cost model scored") {
+    for (balanced <- Seq(true, false)) {
+      val sys = Harmony.deploy(spark, idx,
+        cfg(Mode.Harmony).copy(balancedLoad = balanced), F.small.queries)
+      try {
+        val scored = sys.planCost.get.plan
+        assert(scored.shardOfCluster.toSeq == sys.plan.shardOfCluster.toSeq, s"balanced=$balanced")
+        assert(scored.sliceBounds.toSeq == sys.plan.sliceBounds.toSeq)
+        if (!balanced) assert(scored.shardOfCluster.toSeq ==
+          PartitionPlan.assignShardsNaive(idx.nlist, scored.bVec).toSeq)
+      } finally sys.shutdown()
+    }
   }
 
   test("balancedLoad toggle switches to naive placement") {
